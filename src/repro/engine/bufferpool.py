@@ -242,9 +242,6 @@ class BufferPoolExtension:
             owner = self.store.remote_file.owner  # type: ignore[attr-defined]
         return owner.sim
 
-    def _now(self) -> float:
-        return self._sim().now
-
     def _slot_provider(self, slot: int) -> str | None:
         """Memory server backing ``slot``, if the store can tell."""
         try:

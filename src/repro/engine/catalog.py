@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .errors import EngineError
 from .page import rows_per_page
@@ -107,6 +107,3 @@ class Catalog:
         if name not in self.tables:
             raise EngineError(f"no table {name!r}")
         return self.tables[name]
-
-    def drop_table(self, name: str) -> Optional[Table]:
-        return self.tables.pop(name, None)

@@ -162,9 +162,6 @@ class Marketplace:
         self.revocations_seen += 1
         account.runtime.on_lease_revoked(lease)
 
-    def tenant_revocations(self, name: str) -> int:
-        return self._accounts[name].revocations
-
     # -- demand ------------------------------------------------------------
 
     def report_demand(self, tenant: str, signal: DemandSignal) -> None:
