@@ -13,7 +13,9 @@ supplies both halves of that story:
 * :func:`build_dist`, the cluster builder: N identical DB servers
   (HDD array + SSD + local TempDB each), optional memory servers with a
   shared broker for NAM-style remote shards, and the exchange fabric
-  bootstrapped over pre-registered staging buffers.
+  bootstrapped over pre-registered staging buffers.  Each server's
+  engine is :data:`DIST_TIER` compiled by the shared
+  :mod:`~repro.harness.topology` steps.
 
 Loaders reuse the TPC-H generator split
 (:func:`~repro.workloads.tpch.generate_tpch_rows`): one canonical row
@@ -30,15 +32,24 @@ from typing import Any, Optional
 
 from ..broker import MemoryBroker, MemoryProxy
 from ..cluster import Cluster, Server
-from ..engine import Database, DevicePageFile, RemotePageFile, Schema
+from ..engine import Database, Schema
 from ..harness import warm_extension, warm_pool
-from ..harness.dbbench import BPEXT_FILE_ID, TEMPDB_FILE_ID
+from ..harness.topology import (
+    ClusterSetup,
+    add_memory_servers,
+    bind_metrics,
+    compile_plan,
+    equip_db_server,
+    new_cluster,
+    offer_memory,
+    open_remote_stores,
+    remote_filesystem,
+)
 from ..net import Network
-from ..remotefile import AccessPolicy, RemoteMemoryFilesystem, StagingPool
-from ..storage import GB, MB, PAGE_SIZE, Raid0Array, SsdDevice
+from ..remotefile import RemoteMemoryFilesystem
+from ..storage import GB, MB, PAGE_SIZE
 from ..telemetry import MetricsRegistry
-from ..telemetry.attach import register_cluster, register_pool
-from ..tiers import Tier, build_stack
+from ..tiers import TierDef, TierSpec
 from ..workloads import TPCH_SCHEMAS, TpchScale, generate_tpch_rows, install_tpch_tables
 from .exchange import ExchangeRuntime
 
@@ -167,7 +178,7 @@ class DistSpec:
 
 
 @dataclass
-class DistSetup:
+class DistSetup(ClusterSetup):
     """Everything a distributed benchmark needs to drive one topology."""
 
     spec: DistSpec
@@ -187,39 +198,30 @@ class DistSetup:
     #: Partitioning map when the load was sharded, else None.
     partitioning: Optional[dict[str, PartitionSpec]] = None
 
-    @property
-    def sim(self):
-        return self.cluster.sim
 
-    def run(self, generator):
-        return self.sim.run_until_complete(self.sim.spawn(generator))
+#: Every DB server's layout: one remote extension level (sized per
+#: server by ``DistSpec.ext_pages``), TempDB and WAL on the local SSD.
+DIST_TIER = TierSpec(
+    name="dist",
+    extension=(TierDef(medium="remote", name="remote"),),
+    tempdb="ssd",
+    wal="ssd",
+    protocol="ndspi",
+    sync_remote_io=True,
+)
 
 
 def build_dist(spec: DistSpec) -> DistSetup:
     """Assemble the virtual cluster for one distributed topology."""
     ext_pages = spec.resolved_ext()
-    cluster = Cluster(seed=spec.seed)
-    sim = cluster.sim
-    network = Network(sim)
-
-    db_servers: list[Server] = []
-    hdds = []
-    for index in range(spec.db_servers):
-        server = cluster.add_server(
-            f"db{index}", cores=spec.db_cores, memory_bytes=384 * GB
+    cluster, network = new_cluster(spec.seed)
+    db_servers = [
+        equip_db_server(
+            cluster, network, f"db{index}", cores=spec.db_cores, memory_bytes=384 * GB,
+            spindles=spec.data_spindles, rng_stream=f"hdd{index}",
         )
-        network.attach(server)
-        hdd = server.attach_device(
-            "hdd",
-            Raid0Array(
-                sim, spindles=spec.data_spindles,
-                rng=cluster.rng.stream(f"hdd{index}"),
-            ),
-        )
-        server.attach_device("ssd", SsdDevice(sim))
-        db_servers.append(server)
-        hdds.append(hdd)
-
+        for index in range(spec.db_servers)
+    ]
     setup = DistSetup(
         spec=spec, cluster=cluster, network=network,
         db_servers=db_servers, databases=[],
@@ -228,8 +230,7 @@ def build_dist(spec: DistSpec) -> DistSetup:
         ),
     )
 
-    needs_remote = any(pages > 0 for pages in ext_pages)
-    if needs_remote:
+    if any(pages > 0 for pages in ext_pages):
         # Leases hand out whole MRs, so each server's bpext file consumes
         # at least one full region — size the offer by region count, not
         # raw bytes, or a many-small-shards hybrid starves the last file.
@@ -238,75 +239,39 @@ def build_dist(spec: DistSpec) -> DistSetup:
             -(-pages * PAGE_SIZE // mr_bytes) for pages in ext_pages if pages > 0
         )
         per_memory_server = -(-regions_needed // max(1, spec.memory_servers)) + 1
-        per_server = per_memory_server * mr_bytes
-        broker = MemoryBroker(sim)
-        setup.broker = broker
-        for index in range(spec.memory_servers):
-            server = cluster.add_server(f"mem{index}", memory_bytes=384 * GB)
-            network.attach(server)
-            setup.memory_servers.append(server)
-
-        def offer_all():
-            for server in setup.memory_servers:
-                proxy = MemoryProxy(server, broker, mr_bytes=mr_bytes)
-                setup.proxies[server.name] = proxy
-                yield from proxy.offer_available(limit_bytes=per_server)
-
-        setup.run(offer_all())
+        setup.broker = MemoryBroker(cluster.sim)
+        setup.memory_servers = add_memory_servers(
+            cluster, network, spec.memory_servers, 384 * GB
+        )
+        setup.proxies = setup.run(offer_memory(
+            setup.memory_servers, setup.broker, mr_bytes, per_memory_server * mr_bytes
+        ))
 
     spread = spec.memory_servers > 1
-    for index, server in enumerate(db_servers):
-        extension = None
-        if ext_pages[index] > 0:
-            fs = RemoteMemoryFilesystem(
-                server, setup.broker,
-                StagingPool(server, schedulers=spec.db_cores),
-                policy=AccessPolicy.SYNC,
-            )
+    for server, pages in zip(db_servers, ext_pages):
+        plan = DIST_TIER.resolve(
+            analytic=False, bpext_pages=pages, tempdb_pages=spec.tempdb_pages
+        )
+        remote_stores = []
+        if pages > 0:
+            fs = remote_filesystem(server, setup.broker, schedulers=spec.db_cores)
             setup.remote_fs[server.name] = fs
 
-            def bootstrap(fs=fs, pages=ext_pages[index], label=server.name):
+            def bootstrap(fs=fs, plan=plan, file_name=f"bpext.{server.name}"):
                 yield from fs.initialize()
-                file = yield from fs.create(
-                    f"bpext.{label}", pages * PAGE_SIZE, spread=spread
-                )
-                yield from file.open()
-                return file
+                return (yield from open_remote_stores(fs, plan, file_name, spread))
 
-            file = setup.run(bootstrap())
-            extension = build_stack([
-                Tier(
-                    name="remote",
-                    store=RemotePageFile(
-                        BPEXT_FILE_ID, file, capacity_pages=ext_pages[index]
-                    ),
-                    medium="remote",
-                )
-            ])
-        tempdb = DevicePageFile(
-            TEMPDB_FILE_ID, server, server.devices["ssd"],
-            capacity_pages=spec.tempdb_pages, base_offset=512 * GB,
-            chunk_pages=None,
-        )
-        setup.databases.append(
-            Database(
-                server,
-                bp_pages=spec.bp_pages,
-                data_device=hdds[index],
-                log_device=server.devices["ssd"],
-                extension=extension,
-                tempdb_store=tempdb,
-                workspace_bytes=spec.workspace_bytes,
-            )
-        )
+            remote_stores = setup.run(bootstrap())
+        setup.databases.append(compile_plan(
+            server, plan, remote_stores, spec.bp_pages,
+            workspace_bytes=spec.workspace_bytes,
+        ))
 
     setup.run(setup.runtime.bootstrap())
-
-    registry = MetricsRegistry(f"dist.{spec.name}")
-    register_cluster(registry, cluster)
-    for index, database in enumerate(setup.databases):
-        register_pool(registry, f"db{index}.bp", database.pool)
-    setup.metrics = registry
+    setup.metrics = bind_metrics(
+        f"dist.{spec.name}", cluster,
+        {f"db{index}.bp": database.pool for index, database in enumerate(setup.databases)},
+    )
     return setup
 
 

@@ -25,16 +25,28 @@ from typing import Optional
 
 from ..broker import MemoryBroker, MemoryProxy
 from ..cluster import Cluster, Server
-from ..engine import Database, DevicePageFile, RemotePageFile
+from ..engine import Database
 from ..engine.bufferpool import BufferPoolExtension
 from ..engine.page import PAGE_SIZE
 from ..faults import FaultEngine, FaultPlan
+from ..harness.topology import (
+    ClusterSetup,
+    add_server,
+    compile_plan,
+    equip_db_server,
+    new_cluster,
+    offer_memory,
+    open_remote_store,
+    open_remote_stores,
+    remote_filesystem,
+    remote_level,
+)
 from ..net import Network
-from ..remotefile import RemoteFile, RemoteMemoryFilesystem, StagingPool
+from ..remotefile import RemoteFile, RemoteMemoryFilesystem
 from ..sim.kernel import AllOf, ProcessGenerator
-from ..storage import GB, MB, Raid0Array, SsdDevice
+from ..storage import GB, MB
 from ..telemetry import MetricsRegistry
-from ..tiers import Tier, TierDef, TierSpec, build_stack
+from ..tiers import TierDef, TierSpec
 from ..workloads import TpchScale, build_customer_table
 from ..workloads.tpch import build_tpch_database, tpch_query_specs
 from .marketplace import Marketplace, MarketplacePolicy, QosClass, verify_broker_consistency
@@ -60,11 +72,6 @@ DEFAULT_TENANT_TIER = TierSpec(
     semcache="ssd",
     protocol="ndspi",
 )
-
-#: File-id base for fleet extension stores (dbbench uses 900 for its
-#: single engine; fleet replicas each own a database so ids only need
-#: to be unique within one replica).
-FLEET_EXT_FILE_ID = 900
 
 
 @dataclass(frozen=True)
@@ -160,7 +167,6 @@ class TenantReplica:
         #: tenants whose tier spec keeps everything local).
         self.remote_level: Optional[BufferPoolExtension] = None
         self.file: Optional[RemoteFile] = None
-        self.ext_file_id: int = FLEET_EXT_FILE_ID
         self.ext_pages: int = 0
         #: False between a torn-down old store and an opened new one
         #: (e.g. a broker restart interrupting a rebuild).
@@ -323,18 +329,15 @@ class TenantRuntime:
             replica.file = None
         name = f"{self.name}.{replica.index}.ext.{self._file_seq}"
         self._file_seq += 1
-        file = yield from replica.fs.create(name, per * PAGE_SIZE)
-        yield from file.open()
-        level.replace_store(
-            RemotePageFile(replica.ext_file_id, file, capacity_pages=per)
-        )
-        replica.file = file
+        store = yield from open_remote_store(replica.fs, level.store.file_id, name, per)
+        level.replace_store(store)
+        replica.file = store.remote_file
         replica.ext_pages = per
         replica.healthy = True
 
 
 @dataclass
-class FleetSetup:
+class FleetSetup(ClusterSetup):
     """Everything a fleet scenario needs to run."""
 
     spec: FleetSpec
@@ -346,13 +349,6 @@ class FleetSetup:
     tenants: dict[str, TenantRuntime] = field(default_factory=dict)
     marketplace: Optional[Marketplace] = None
     metrics: Optional[MetricsRegistry] = None
-
-    @property
-    def sim(self):
-        return self.cluster.sim
-
-    def run(self, generator):
-        return self.sim.run_until_complete(self.sim.spawn(generator))
 
     def fault_engine(self, monitor=None) -> FaultEngine:
         """A fault engine whose extension surface spans every tenant."""
@@ -398,9 +394,8 @@ def build_fleet(
     installs the marketplace **before** any lease is placed, so
     anti-affinity governs initial placement too.
     """
-    cluster = Cluster(seed=spec.seed)
+    cluster, network = new_cluster(spec.seed)
     sim = cluster.sim
-    network = Network(sim)
     registry = metrics if metrics is not None else MetricsRegistry(f"fleet.{spec.name}")
     broker = MemoryBroker(sim, lease_duration_us=spec.lease_duration_us)
 
@@ -426,14 +421,13 @@ def build_fleet(
         setup.marketplace = market
 
     for index in range(spec.memory_servers):
-        server = cluster.add_server(
-            f"mem{index}", memory_bytes=per_server_bytes + 64 * GB
+        server = add_server(
+            cluster, network, f"mem{index}", memory_bytes=per_server_bytes + 64 * GB
         )
-        network.attach(server)
-        proxy = MemoryProxy(server, broker, mr_bytes=spec.mr_bytes)
         setup.memory_servers.append(server)
-        setup.proxies[server.name] = proxy
-        setup.run(proxy.offer_available(limit_bytes=per_server_bytes))
+        setup.proxies.update(
+            setup.run(offer_memory([server], broker, spec.mr_bytes, per_server_bytes))
+        )
 
     mr_pages = max(1, spec.mr_bytes // PAGE_SIZE)
     spread_initial = market is None and spec.memory_servers > 1
@@ -444,73 +438,28 @@ def build_fleet(
             analytic=False, bpext_pages=per_replica, tempdb_pages=0
         )
         for index in range(tenant.replicas):
-            server = cluster.add_server(
-                f"{tenant.name}-{index}", cores=spec.db_cores, memory_bytes=64 * GB
+            server = equip_db_server(
+                cluster, network, f"{tenant.name}-{index}", cores=spec.db_cores,
+                memory_bytes=64 * GB, spindles=spec.spindles,
+                rng_stream=f"hdd.{tenant.name}.{index}",
             )
-            network.attach(server)
-            hdd = server.attach_device(
-                "hdd",
-                Raid0Array(
-                    sim,
-                    spindles=spec.spindles,
-                    rng=cluster.rng.stream(f"hdd.{tenant.name}.{index}"),
-                ),
-            )
-            ssd = server.attach_device("ssd", SsdDevice(sim))
-            local_media = {"hdd": hdd, "ssd": ssd}
-            fs = RemoteMemoryFilesystem(server, broker, StagingPool(server))
+            fs = remote_filesystem(server, broker)
             setup.run(fs.initialize())
             replica = TenantReplica(index, server, fs)
-
-            tiers: list[Tier] = []
-            for tier_index, resolved in enumerate(plan.extension):
-                file_id = FLEET_EXT_FILE_ID + 10 * tier_index
-                if resolved.medium == "remote":
-                    def bootstrap(fs=fs, resolved=resolved):
-                        file = yield from fs.create(
-                            f"{tenant.name}.{index}.{resolved.name}.0",
-                            resolved.capacity_pages * PAGE_SIZE,
-                            spread=spread_initial,
-                        )
-                        yield from file.open()
-                        return file
-
-                    file = setup.run(bootstrap())
-                    store = RemotePageFile(
-                        file_id, file, capacity_pages=resolved.capacity_pages
-                    )
-                else:
-                    store = DevicePageFile(
-                        file_id,
-                        server,
-                        local_media[resolved.medium],
-                        capacity_pages=resolved.capacity_pages,
-                    )
-                tiers.append(
-                    Tier(
-                        name=resolved.name,
-                        store=store,
-                        medium=resolved.medium,
-                        latency_class=resolved.latency_class,
-                        promote_on_hit=resolved.promote_on_hit,
-                    )
-                )
-            extension = build_stack(tiers)
-            database = Database(
-                server, bp_pages=tenant.bp_pages, data_device=hdd, extension=extension
-            )
+            remote_stores = []
+            if plan.remote_extension_tiers():
+                remote_stores = setup.run(open_remote_stores(
+                    fs, plan, f"{tenant.name}.{index}.{{tier}}.0", spread_initial
+                ))
+            database = compile_plan(server, plan, remote_stores, tenant.bp_pages)
             replica.database = database
 
-            # Find the remote level the marketplace resizes (if any).
-            if extension is not None:
-                levels = getattr(extension, "levels", None)
-                for level in levels if levels is not None else (extension,):
-                    if isinstance(level.store, RemotePageFile):
-                        replica.remote_level = level
-                        replica.ext_file_id = level.store.file_id
-                        replica.file = level.store.remote_file
-                        replica.ext_pages = level.capacity_pages
-                        break
+            # The remote level the marketplace resizes (if any).
+            level = remote_level(database.pool.extension)
+            if level is not None:
+                replica.remote_level = level
+                replica.file = level.store.remote_file
+                replica.ext_pages = level.capacity_pages
 
             if tenant.workload == "tpch":
                 replica.tpch_tables = build_tpch_database(

@@ -1,9 +1,11 @@
 """Build a full engine instance from a declarative tier spec.
 
-``build_database`` assembles the cluster (DB server + memory servers),
-the storage devices, the remote-memory machinery for the plans that
-need it, and a :class:`~repro.engine.Database` wired to the right media
-for BPExt and TempDB.  Workload modules then load tables into it.
+``build_database`` assembles one DB server and, for plans that need
+remote memory, its memory servers, SMB or NDSPI transport and remote
+files, then compiles the resolved plan into a
+:class:`~repro.engine.Database` — each step a call into
+:mod:`~repro.harness.topology`.  Workload modules then load tables into
+it.
 
 The builder never branches on design names: a :class:`~repro.harness.Design`
 is looked up in :data:`~repro.harness.TIER_SPECS` and the resulting
@@ -19,28 +21,32 @@ from typing import Optional
 
 from ..broker import MemoryBroker, MemoryProxy
 from ..cluster import Cluster, Server
-from ..engine import (
-    Database,
-    DevicePageFile,
-    PageStore,
-    RemotePageFile,
-    SmbPageFile,
-    cost_model_for,
-)
+from ..engine import Database, DevicePageFile, SmbPageFile, cost_model_for
 from ..engine.page import PAGE_SIZE
-from ..net import Network, SmbClient, SmbDirectClient, SmbFileServer
+from ..net import Network
 from ..reliability import ReliabilityLayer, ReliabilityPolicy
-from ..remotefile import AccessPolicy, RemoteMemoryFilesystem, StagingPool
-from ..storage import GB, MB, RamDrive, Raid0Array, SsdDevice
+from ..remotefile import AccessPolicy, RemoteMemoryFilesystem
+from ..storage import GB, MB
 from ..telemetry import MetricsRegistry
-from ..telemetry.attach import (
-    register_cluster,
-    register_pool,
-    register_reliability,
-    register_remote_file,
-)
-from ..tiers import Tier, TierPlan, TierSpec, build_stack
+from ..tiers import TierPlan, TierSpec
 from .designs import Design, TIER_SPECS
+from .topology import (
+    SEMCACHE_FILE_ID,
+    SMB_CLIENTS,
+    ClusterSetup,
+    add_memory_servers,
+    bind_metrics,
+    compile_plan,
+    equip_db_server,
+    new_cluster,
+    offer_memory,
+    open_remote_store,
+    open_remote_stores,
+    remote_filesystem,
+    remote_level,
+    remote_placements,
+    smb_file_server,
+)
 
 __all__ = [
     "DbSetup",
@@ -52,19 +58,9 @@ __all__ = [
     "warm_pool",
 ]
 
-#: File ids reserved for engine-internal files.  Extension tiers are
-#: spaced ten apart so multi-tier stacks never collide with TempDB.
-BPEXT_FILE_ID = 900
-TEMPDB_FILE_ID = 901
-SEMCACHE_FILE_ID = 950
-
-
-def _ext_file_id(index: int) -> int:
-    return BPEXT_FILE_ID + 10 * index
-
 
 @dataclass
-class DbSetup:
+class DbSetup(ClusterSetup):
     """Everything a benchmark needs to drive one configuration."""
 
     design: Optional[Design]
@@ -87,13 +83,6 @@ class DbSetup:
     #: resolved plan (concrete capacities, analytic rule applied).
     spec: Optional[TierSpec] = None
     plan: Optional[TierPlan] = None
-
-    @property
-    def sim(self):
-        return self.cluster.sim
-
-    def run(self, generator):
-        return self.sim.run_until_complete(self.sim.spawn(generator))
 
     def execute_plan(
         self,
@@ -141,12 +130,10 @@ class DbSetup:
             if self.remote_fs is None:
                 raise ValueError("spec places the semantic cache remotely "
                                  "but the setup has no remote filesystem")
-            spread = len(self.memory_servers) > 1
-            file = yield from self.remote_fs.create(
-                name, capacity_pages * PAGE_SIZE, spread=spread
-            )
-            yield from file.open()
-            return RemotePageFile(SEMCACHE_FILE_ID, file, capacity_pages=capacity_pages)
+            return (yield from open_remote_store(
+                self.remote_fs, SEMCACHE_FILE_ID, name, capacity_pages,
+                spread=len(self.memory_servers) > 1,
+            ))
         device = self.db_server.devices[medium]
         return DevicePageFile(
             SEMCACHE_FILE_ID, self.db_server, device, capacity_pages=capacity_pages
@@ -190,170 +177,74 @@ def build_database(
         analytic=analytic, bpext_pages=bpext_pages, tempdb_pages=tempdb_pages
     )
 
-    cluster = Cluster(seed=seed)
-    sim = cluster.sim
-    network = Network(sim)
-    db_server = cluster.add_server("db", cores=db_cores, memory_bytes=384 * GB)
-    network.attach(db_server)
-    hdd = db_server.attach_device(
-        "hdd", Raid0Array(sim, spindles=data_spindles, rng=cluster.rng.stream("hdd"))
+    cluster, network = new_cluster(seed)
+    db_server = equip_db_server(
+        cluster, network, "db", cores=db_cores, memory_bytes=384 * GB,
+        spindles=data_spindles, rng_stream="hdd",
     )
-    ssd = db_server.attach_device("ssd", SsdDevice(sim))
-    local_media = {"hdd": hdd, "ssd": ssd}
-
     setup = DbSetup(
         design=design_key, cluster=cluster, db_server=db_server,
         database=None, network=network,  # type: ignore[arg-type]
         spec=spec, plan=plan,
     )
 
-    def local_ext_store(index: int, tier) -> DevicePageFile:
-        return DevicePageFile(
-            _ext_file_id(index), db_server, local_media[tier.medium],
-            capacity_pages=tier.capacity_pages,
-        )
-
-    def local_tempdb_store() -> DevicePageFile:
-        return DevicePageFile(
-            TEMPDB_FILE_ID, db_server, local_media[plan.tempdb.medium],
-            capacity_pages=tempdb_pages, base_offset=512 * GB,
-            chunk_pages=None,  # TempDB is preallocated contiguously
-        )
-
-    ext_stores: list[Optional[PageStore]] = []
-    tempdb_store: Optional[PageStore] = None
-
-    if not plan.needs_remote:
-        # Purely local plans: every tier maps onto an attached device.
-        for index, tier in enumerate(plan.extension):
-            ext_stores.append(local_ext_store(index, tier))
-        tempdb_store = local_tempdb_store()
-    else:
-        # Remote placements need memory servers.
+    remote_stores: list = []
+    if plan.needs_remote:
         remote_bytes_needed = (bpext_pages + tempdb_pages) * PAGE_SIZE + 64 * MB
         per_server = remote_bytes_needed // n_memory_servers + 32 * MB
-        for index in range(n_memory_servers):
-            server = cluster.add_server(
-                f"mem{index}", memory_bytes=max(384 * GB, per_server + 64 * GB)
-            )
-            network.attach(server)
-            setup.memory_servers.append(server)
-
+        setup.memory_servers = add_memory_servers(
+            cluster, network, n_memory_servers, max(384 * GB, per_server + 64 * GB)
+        )
         if plan.protocol in ("smb", "smbdirect"):
-            mem = setup.memory_servers[0]
-            drive = mem.attach_device("ramdrive", RamDrive(sim, name=f"{mem.name}.ramdrive"))
-            file_server = SmbFileServer(mem, drive)
-            client_cls = SmbClient if plan.protocol == "smb" else SmbDirectClient
-            for index, tier in enumerate(plan.extension):
-                if tier.medium == "remote":
-                    ext_stores.append(SmbPageFile(
-                        _ext_file_id(index), db_server,
-                        client_cls(db_server, file_server),
-                        capacity_pages=tier.capacity_pages,
-                    ))
-                else:
-                    ext_stores.append(local_ext_store(index, tier))
-            if plan.tempdb.medium == "remote":
-                tempdb_store = SmbPageFile(
-                    TEMPDB_FILE_ID, db_server, client_cls(db_server, file_server),
-                    capacity_pages=tempdb_pages,
+            file_server = smb_file_server(setup.memory_servers[0])
+            client_cls = SMB_CLIENTS[plan.protocol]
+            remote_stores = [
+                SmbPageFile(
+                    file_id, db_server, client_cls(db_server, file_server),
+                    capacity_pages=tier.capacity_pages,
                 )
-            else:
-                tempdb_store = local_tempdb_store()
+                for file_id, tier in remote_placements(plan)
+            ]
         else:  # ndspi
-            broker = MemoryBroker(sim)
-            policy = AccessPolicy.SYNC if plan.sync_remote_io else AccessPolicy.ASYNC
-            layer = None
+            setup.broker = broker = MemoryBroker(cluster.sim)
             if reliability:
-                reliability_policy = (
-                    reliability
-                    if isinstance(reliability, ReliabilityPolicy)
-                    else ReliabilityPolicy()
+                setup.reliability = ReliabilityLayer(
+                    cluster.sim, cluster.rng.stream("reliability"),
+                    reliability if isinstance(reliability, ReliabilityPolicy)
+                    else ReliabilityPolicy(),
                 )
-                layer = ReliabilityLayer(
-                    sim, cluster.rng.stream("reliability"), reliability_policy
-                )
-                setup.reliability = layer
-            fs = RemoteMemoryFilesystem(
-                db_server, broker, StagingPool(db_server, schedulers=db_cores),
-                policy=policy, reliability=layer,
+            setup.remote_fs = fs = remote_filesystem(
+                db_server, broker, schedulers=db_cores,
+                policy=AccessPolicy.SYNC if plan.sync_remote_io else AccessPolicy.ASYNC,
+                reliability=setup.reliability,
             )
-            setup.broker = broker
-            setup.remote_fs = fs
-
-            # Local tiers of a mixed stack attach directly; remote tiers
-            # are placeholders until the bootstrap opens their files.
-            for index, tier in enumerate(plan.extension):
-                ext_stores.append(
-                    None if tier.medium == "remote" else local_ext_store(index, tier)
-                )
 
             def bootstrap():
                 yield from fs.initialize()
-                for server in setup.memory_servers:
-                    proxy = MemoryProxy(server, broker, mr_bytes=64 * MB)
-                    setup.proxies[server.name] = proxy
-                    yield from proxy.offer_available(limit_bytes=per_server + 128 * MB)
-                spread = n_memory_servers > 1
-                for index, tier in enumerate(plan.extension):
-                    if tier.medium != "remote":
-                        continue
-                    file = yield from fs.create(
-                        tier.name, tier.capacity_pages * PAGE_SIZE, spread=spread
-                    )
-                    yield from file.open()
-                    ext_stores[index] = RemotePageFile(
-                        _ext_file_id(index), file, capacity_pages=tier.capacity_pages
-                    )
-                if plan.tempdb.medium == "remote":
-                    file = yield from fs.create(
-                        "tempdb", tempdb_pages * PAGE_SIZE, spread=spread
-                    )
-                    yield from file.open()
-                    return RemotePageFile(
-                        TEMPDB_FILE_ID, file, capacity_pages=tempdb_pages
-                    )
-                return None
+                setup.proxies = yield from offer_memory(
+                    setup.memory_servers, broker, 64 * MB, per_server + 128 * MB
+                )
+                return (yield from open_remote_stores(
+                    fs, plan, "{tier}", spread=n_memory_servers > 1
+                ))
 
-            tempdb_store = setup.run(bootstrap())
-            if tempdb_store is None:
-                tempdb_store = local_tempdb_store()
+            remote_stores = setup.run(bootstrap())
 
-    extension = build_stack(
-        Tier(
-            name=tier.name, store=store, medium=tier.medium,
-            latency_class=tier.latency_class, promote_on_hit=tier.promote_on_hit,
-        )
-        for tier, store in zip(plan.extension, ext_stores)
-    )
-
-    total_bp_pages = bp_pages
     if spec.pool_absorbs_extension:
-        total_bp_pages += local_memory_bonus_pages
-
-    database = Database(
-        db_server,
-        bp_pages=total_bp_pages,
-        data_device=hdd,
-        log_device=local_media[plan.wal.medium],
-        extension=extension,
-        tempdb_store=tempdb_store,
-        workspace_bytes=workspace_bytes,
+        bp_pages += local_memory_bonus_pages
+    database = compile_plan(
+        db_server, plan, remote_stores, bp_pages, workspace_bytes=workspace_bytes
     )
     if setup.reliability is not None:
         database.pool.attach_reliability(setup.reliability)
     setup.database = database
 
     label = design_key.name.lower() if design_key is not None else spec.name.lower()
-    registry = MetricsRegistry(f"dbbench.{label}")
-    register_cluster(registry, cluster)
-    register_pool(registry, "bp", database.pool)
-    if setup.remote_fs is not None:
-        for file in setup.remote_fs.files.values():
-            register_remote_file(registry, f"rfile.{file.name}", file)
-    if setup.reliability is not None:
-        register_reliability(registry, "reliability", setup.reliability)
-    setup.metrics = registry
+    setup.metrics = bind_metrics(
+        f"dbbench.{label}", cluster, {"bp": database.pool},
+        setup.remote_fs.files.values() if setup.remote_fs is not None else (),
+        setup.reliability,
+    )
     return setup
 
 
@@ -424,27 +315,18 @@ def rebuild_extension(setup: DbSetup, name: Optional[str] = None):
     clean pages are evicted into it — the recovery curve of the
     fault-injection experiments.  Returns the new store.
     """
-    extension = setup.database.pool.extension
-    if extension is None or setup.remote_fs is None:
+    if setup.remote_fs is None:
         raise ValueError("rebuild_extension needs an NDSPI-plan setup")
-    # A TierStack rebuilds its remote level; a single extension is its
-    # own level.
-    levels = getattr(extension, "levels", None)
-    level = extension if levels is None else next(
-        (lv for lv in levels if isinstance(lv.store, RemotePageFile)), None
-    )
-    if level is None or not isinstance(level.store, RemotePageFile):
+    level = remote_level(setup.database.pool.extension)
+    if level is None:
         raise ValueError("the extension has no remote-memory tier")
     old_store = level.store
     old_file = old_store.remote_file
     file_name = name if name is not None else f"{old_file.name}.r{len(setup.remote_fs.files)}"
-    pages = level.capacity_pages
-    spread = len(setup.memory_servers) > 1
-    new_file = yield from setup.remote_fs.create(
-        file_name, pages * PAGE_SIZE, spread=spread
+    new_store = yield from open_remote_store(
+        setup.remote_fs, old_store.file_id, file_name, level.capacity_pages,
+        spread=len(setup.memory_servers) > 1,
     )
-    yield from new_file.open()
-    new_store = RemotePageFile(old_store.file_id, new_file, capacity_pages=pages)
     level.replace_store(new_store)
     yield from setup.remote_fs.delete(old_file)
     return new_store

@@ -10,13 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..broker import MemoryBroker, MemoryProxy
+from ..broker import MemoryBroker
 from ..cluster import Cluster, Server
-from ..net import Network, SmbClient, SmbDirectClient, SmbFileServer
-from ..remotefile import AccessPolicy, RemoteFile, RemoteMemoryFilesystem, StagingPool
-from ..storage import GB, MB, BlockDevice, RamDrive, Raid0Array, SsdDevice
+from ..remotefile import AccessPolicy, RemoteFile
+from ..storage import GB, MB, Raid0Array, SsdDevice
 from ..telemetry import MetricsRegistry
-from ..telemetry.attach import register_cluster, register_remote_file
+from .topology import (
+    SMB_CLIENTS,
+    add_memory_servers,
+    add_server,
+    bind_metrics,
+    new_cluster,
+    offer_memory,
+    open_remote_file,
+    remote_filesystem,
+    smb_file_server,
+)
 
 __all__ = ["IoTarget", "build_io_target", "build_custom_multi", "IO_DESIGNS"]
 
@@ -30,6 +39,9 @@ IO_DESIGNS = (
     "SMBDirect+RamDrive",
     "Custom",
 )
+
+#: Memory-region size every iobench memory server offers in.
+MR_BYTES = 256 * MB
 
 #: Address span the micro-benchmark sweeps (matches the paper's setup
 #: where the RamDrive/remote file far exceeds any cache).
@@ -70,81 +82,46 @@ class _RemoteFileAdapter:
         yield from self.file.write_nodata(offset, size)
 
 
-class _DeviceAdapter:
-    """Local block device target."""
-
-    def __init__(self, device: BlockDevice):
-        self.device = device
-
-    def read(self, offset: int, size: int):
-        yield from self.device.read(offset, size)
-
-    def write(self, offset: int, size: int):
-        yield from self.device.write(offset, size)
-
-
 def _bind_metrics(target: IoTarget) -> IoTarget:
     """Adopt every instrument behind ``target`` into one registry."""
-    registry = MetricsRegistry(target.name)
-    register_cluster(registry, target.cluster)
     file = getattr(target._reader, "file", None)
-    if file is not None:
-        register_remote_file(registry, f"rfile.{file.name}", file)
-    target.metrics = registry
+    target.metrics = bind_metrics(
+        target.name, target.cluster, files=() if file is None else (file,)
+    )
     return target
 
 
-def _base_cluster(seed: int = 0) -> tuple[Cluster, Network, Server]:
-    cluster = Cluster(seed=seed)
-    network = Network(cluster.sim)
-    db = cluster.add_server("db")
-    network.attach(db)
-    return cluster, network, db
-
-
 def build_io_target(design: str, span_bytes: int = DEFAULT_SPAN, seed: int = 0) -> IoTarget:
-    """Build the cluster + target for one Figure-3/4 design alternative."""
-    cluster, network, db = _base_cluster(seed)
+    """Build the cluster + target for one Figure-3/4 design alternative.
+
+    Local designs read the DB server's device directly; remote ones go
+    through an SMB client or a remote file on one memory server.
+    """
+    cluster, network = new_cluster(seed)
+    db = add_server(cluster, network, "db")
     sim = cluster.sim
-
+    memory_servers: list[Server] = []
     if design.startswith("HDD("):
-        spindles = int(design[4:-1])
-        device = Raid0Array(sim, spindles=spindles, name=design,
-                            rng=cluster.rng.stream("hdd"))
-        db.attach_device("data", device)
-        return _bind_metrics(
-            IoTarget(design, cluster, span_bytes, _DeviceAdapter(device), db_server=db)
+        reader = db.attach_device("data", Raid0Array(
+            sim, spindles=int(design[4:-1]), name=design, rng=cluster.rng.stream("hdd")
+        ))
+    elif design == "SSD":
+        reader = db.attach_device("ssd", SsdDevice(sim, name="ssd"))
+    elif design in IO_DESIGNS:
+        memory_servers = add_memory_servers(
+            cluster, network, 1, max(384 * GB, span_bytes + 64 * GB)
         )
-
-    if design == "SSD":
-        device = SsdDevice(sim, name="ssd")
-        db.attach_device("ssd", device)
-        return _bind_metrics(
-            IoTarget(design, cluster, span_bytes, _DeviceAdapter(device), db_server=db)
-        )
-
-    mem = cluster.add_server("mem0", memory_bytes=max(384 * GB, span_bytes + 64 * GB))
-    network.attach(mem)
-
-    if design in ("SMB+RamDrive", "SMBDirect+RamDrive"):
-        drive = RamDrive(sim, name="mem0.ramdrive")
-        mem.attach_device("ramdrive", drive)
-        file_server = SmbFileServer(mem, drive)
-        if design == "SMB+RamDrive":
-            client = SmbClient(db, file_server)
+        if design == "Custom":
+            reader = _build_custom(cluster, db, memory_servers, span_bytes)
         else:
-            client = SmbDirectClient(db, file_server)
-        return _bind_metrics(IoTarget(
-            design, cluster, span_bytes, client, db_server=db, memory_servers=(mem,)
-        ))
-
-    if design == "Custom":
-        target = _build_custom(cluster, db, [mem], span_bytes)
-        return _bind_metrics(IoTarget(
-            design, cluster, span_bytes, target, db_server=db, memory_servers=(mem,)
-        ))
-
-    raise ValueError(f"unknown design {design!r}; expected one of {IO_DESIGNS}")
+            protocol = "smb" if design == "SMB+RamDrive" else "smbdirect"
+            reader = SMB_CLIENTS[protocol](db, smb_file_server(memory_servers[0]))
+    else:
+        raise ValueError(f"unknown design {design!r}; expected one of {IO_DESIGNS}")
+    return _bind_metrics(IoTarget(
+        design, cluster, span_bytes, reader, db_server=db,
+        memory_servers=tuple(memory_servers),
+    ))
 
 
 def _build_custom(
@@ -153,28 +130,25 @@ def _build_custom(
     memory_servers: list[Server],
     span_bytes: int,
     policy: AccessPolicy = AccessPolicy.SYNC,
-    mr_bytes: int = 256 * MB,
 ) -> _RemoteFileAdapter:
-    sim = cluster.sim
-    broker = MemoryBroker(sim)
-    fs = RemoteMemoryFilesystem(db, broker, StagingPool(db), policy=policy)
+    broker = MemoryBroker(cluster.sim)
+    fs = remote_filesystem(db, broker, policy=policy)
     per_server = -(-span_bytes // len(memory_servers))  # ceil division
 
     def setup():
         yield from fs.initialize()
-        for server in memory_servers:
-            proxy = MemoryProxy(server, broker, mr_bytes=mr_bytes)
-            yield from proxy.offer_available(limit_bytes=per_server + mr_bytes)
-        file = yield from fs.create(
-            "iobench", span_bytes,
+        yield from offer_memory(memory_servers, broker, MR_BYTES, per_server + MR_BYTES)
+        return (yield from open_remote_file(
+            fs, "iobench", span_bytes, spread=len(memory_servers) > 1,
             providers=[s.name for s in memory_servers],
-            spread=len(memory_servers) > 1,
-        )
-        yield from file.open()
-        return file
+        ))
 
-    file = sim.run_until_complete(sim.spawn(setup()))
-    return _RemoteFileAdapter(file)
+    return _RemoteFileAdapter(_run(cluster, setup()))
+
+
+def _run(cluster: Cluster, generator):
+    sim = cluster.sim
+    return sim.run_until_complete(sim.spawn(generator))
 
 
 def build_custom_multi(
@@ -184,14 +158,11 @@ def build_custom_multi(
     policy: AccessPolicy = AccessPolicy.SYNC,
 ) -> IoTarget:
     """Custom design with remote memory pooled from N servers (Figure 5)."""
-    cluster, network, db = _base_cluster(seed)
-    memory_servers = []
-    for index in range(n_memory_servers):
-        server = cluster.add_server(
-            f"mem{index}", memory_bytes=max(384 * GB, span_bytes + 64 * GB)
-        )
-        network.attach(server)
-        memory_servers.append(server)
+    cluster, network = new_cluster(seed)
+    db = add_server(cluster, network, "db")
+    memory_servers = add_memory_servers(
+        cluster, network, n_memory_servers, max(384 * GB, span_bytes + 64 * GB)
+    )
     target = _build_custom(cluster, db, memory_servers, span_bytes, policy=policy)
     return _bind_metrics(IoTarget(
         f"Custom x{n_memory_servers}", cluster, span_bytes, target,
@@ -210,38 +181,24 @@ def build_multi_db(
     Each DB server gets its own staging pool and remote file of
     ``per_db_span`` bytes, all leased from the single provider.
     """
-    cluster = Cluster(seed=seed)
-    network = Network(cluster.sim)
-    mem = cluster.add_server(
-        "mem0", memory_bytes=max(384 * GB, n_db_servers * per_db_span + 64 * GB)
+    cluster, network = new_cluster(seed)
+    [mem] = add_memory_servers(
+        cluster, network, 1, max(384 * GB, n_db_servers * per_db_span + 64 * GB)
     )
-    network.attach(mem)
     broker = MemoryBroker(cluster.sim)
-    sim = cluster.sim
-
-    def offer():
-        proxy = MemoryProxy(mem, broker, mr_bytes=256 * MB)
-        yield from proxy.offer_available(
-            limit_bytes=n_db_servers * per_db_span + 512 * MB
-        )
-
-    sim.run_until_complete(sim.spawn(offer()))
+    _run(cluster, offer_memory([mem], broker, MR_BYTES, n_db_servers * per_db_span + 512 * MB))
     targets = []
     for index in range(n_db_servers):
-        db = cluster.add_server(f"db{index}")
-        network.attach(db)
-        fs = RemoteMemoryFilesystem(db, broker, StagingPool(db), policy=policy)
+        db = add_server(cluster, network, f"db{index}")
+        fs = remote_filesystem(db, broker, policy=policy)
 
         def setup(fs=fs, index=index):
             yield from fs.initialize()
-            file = yield from fs.create(f"iobench{index}", per_db_span)
-            yield from file.open()
-            return file
+            return (yield from open_remote_file(fs, f"iobench{index}", per_db_span))
 
-        file = sim.run_until_complete(sim.spawn(setup()))
         targets.append(
             IoTarget(
-                f"db{index}", cluster, per_db_span, _RemoteFileAdapter(file),
+                f"db{index}", cluster, per_db_span, _RemoteFileAdapter(_run(cluster, setup())),
                 db_server=db, memory_servers=(mem,),
             )
         )
