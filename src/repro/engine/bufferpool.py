@@ -784,6 +784,10 @@ class BufferPool:
         """Snapshot of resident pages, hottest last (priming source)."""
         return [frame.page for frame in self._frames.values()]
 
+    def pending_pages(self) -> list[Page]:
+        """Dirty images evicted to the lazy writer and not yet written."""
+        return list(self._pending_writes.values())
+
     @property
     def hit_ratio(self) -> float:
         total = self.hits + self.misses

@@ -199,10 +199,11 @@ def committed_row_images(
     """Actual rows on real pages, keyed like lock/history items.
 
     Untimed (no simulated I/O), so it can run after the simulation
-    finished.  The newest image of each page is whichever is fresher:
-    the resident buffer-pool frame (dirty frames have not reached the
-    store yet) or the store's authoritative snapshot.  Assumes unique
-    keys per table — true for every workload schema in this repo.
+    finished.  The newest image of each page is the resident buffer-pool
+    frame (dirty frames have not reached the store yet), else an evicted
+    dirty image still queued for the lazy writer, else the store's
+    authoritative snapshot.  Assumes unique keys per table — true for
+    every workload schema in this repo.
     """
     from ..engine.page import PageKind
 
@@ -213,7 +214,7 @@ def committed_row_images(
         store = tree.store
         resident = {
             page.page_no: page
-            for page in db.pool.cached_pages()
+            for page in db.pool.pending_pages() + db.pool.cached_pages()
             if page.file_id == store.file_id
         }
 

@@ -1,6 +1,8 @@
 """Serializability checker: conflict graph, dirty reads, final state."""
 
+from repro.harness import Design, build_database
 from repro.txn import TxnHistory, check_serializable, committed_row_images
+from repro.workloads import build_customer_table
 
 
 class TestConflictGraph:
@@ -109,3 +111,34 @@ class TestRowImages:
             txn_rig.table.clustered.root_page_no
         )
         assert store_row is not None
+
+    def test_images_include_pages_queued_for_write_back(self):
+        """A dirty page evicted to the lazy writer is still the newest
+        image until its write lands: read the rows right at eviction."""
+        setup = build_database(Design.CUSTOM, bp_pages=8, bpext_pages=64, tempdb_pages=64)
+        db = setup.database
+        table = build_customer_table(db, n_rows=2_000)
+        store = table.clustered.store
+        manager = db.transactions(record_history=True)
+
+        def rewrite(row):
+            return (row[0], "Rewritten", *row[2:])
+
+        def body(txn):
+            yield from txn.update(table, 0, rewrite)
+
+        def scenario():
+            yield from manager.run(body)
+            for page_no, _page in sorted(store.iter_pages()):
+                yield from db.pool.get_page(store.file_id, page_no)
+                queued = [
+                    page for page in db.pool.pending_pages()
+                    if any(row[0] == 0 for row in page.rows)
+                ]
+                if queued:
+                    return committed_row_images(db, [table])
+            raise AssertionError("the dirty page was never evicted")
+
+        images = setup.run(scenario())
+        assert images[("row", table.name, 0)][1] == "Rewritten"
+        assert check_serializable(manager.history, final_rows=images).ok
